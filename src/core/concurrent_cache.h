@@ -31,7 +31,7 @@ namespace promptem::core {
 ///    slot's reference bit; when a full shard inserts, a clock hand
 ///    sweeps the slots, clearing reference bits until it finds a cold
 ///    entry to evict. Hot entries survive scan pressure.
-///  - Generation-counter invalidation (the QuantizedWeightCache pattern):
+///  - Generation-counter invalidation:
 ///    entries are stamped with the cache generation at insert;
 ///    Invalidate() bumps the counter and every older entry becomes a miss
 ///    (and is reclaimed lazily when next touched or swept).

@@ -34,7 +34,8 @@ namespace promptem::core {
 ///    multiset, so any pool size and any insertion order produce a
 ///    byte-identical table — including the mmap file image.
 ///  - Reads are wait-free probes over an immutable sealed snapshot
-///    (linear probing from Mix64(key), table kept at most half full).
+///    (linear probing from Mix64(key), table kept at most half full);
+///    taking a snapshot holds a mutex only for one pointer copy.
 ///    A Snapshot pins one sealed generation: spans returned by
 ///    Snapshot::Find stay valid for the snapshot's lifetime even while
 ///    a concurrent Seal publishes a new generation.
@@ -174,10 +175,16 @@ class HashIndex {
 
   Options options_;
   std::unique_ptr<Shard[]> shards_;
-  /// Seal() publishes here; snapshot() loads. Immutable after publish.
-  std::atomic<std::shared_ptr<const SealedState>> sealed_;
+  /// Seal() publishes here; snapshot() copies. Immutable after publish.
+  /// Guarded by a plain mutex held only for the pointer copy: gcc 12's
+  /// std::atomic<std::shared_ptr> hides its lock from ThreadSanitizer,
+  /// which then reports every concurrent snapshot() as a race.
+  mutable std::mutex sealed_mu_;
+  std::shared_ptr<const SealedState> sealed_;
   /// Serializes Seal against itself (reads never take it).
   std::mutex seal_mu_;
+
+  void Publish(std::shared_ptr<const SealedState> state);
 };
 
 }  // namespace promptem::core

@@ -28,10 +28,14 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Order-sensitive combine of two 64-bit values (boost::hash_combine
-/// style, widened): Combine64(a, b) != Combine64(b, a).
+/// Order-sensitive combine of two 64-bit values: Combine64(a, b) !=
+/// Combine64(b, a). `a` is fully mixed before `b` is folded in, so
+/// structured keys (small identities, indexes, version counters) that
+/// differ in both arguments do not cancel out: a collision needs
+/// Mix64(a1) ^ Mix64(a2) == b1 ^ b2, which is as unlikely as for random
+/// keys. For a fixed `a`, distinct `b` never collide (Mix64 is a bijection).
 inline uint64_t Combine64(uint64_t a, uint64_t b) {
-  return Mix64(a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2)));
+  return Mix64(Mix64(a) ^ b);
 }
 
 }  // namespace promptem::core

@@ -165,22 +165,11 @@ class OverlapBlocker : public LeftStreamBlocker {
 /// Per left record, bucket hits are ranked by the number of matching
 /// bands (ties broken by right index) and the top-k kept — the same
 /// shape OverlapBlocker emits. Signature computation runs over
-/// core::ParallelFor; only per-band keys are stored (sorted key -> right
-/// arrays), so the index is O(num_bands * right) with no per-record
-/// signature retained.
+/// core::ParallelFor; only per-band keys are stored (one core::HashIndex
+/// of key -> ascending rights per band), so the index is
+/// O(num_bands * right) with no per-record signature retained.
 class MinHashBlocker : public LeftStreamBlocker {
  public:
-  /// Backing store for the per-band key -> rights tables. All three
-  /// produce bitwise-identical candidate streams (pinned by
-  /// hash_index_test): a posting list under a band key is the rights
-  /// ascending, exactly the segment the legacy sorted arrays cover with
-  /// equal_range.
-  enum class IndexBackend {
-    kSortedArray,    ///< legacy per-band sorted (key, right) arrays
-    kHashIndexRam,   ///< core::HashIndex postings, in-RAM arena
-    kHashIndexMmap,  ///< core::HashIndex postings, mmap files in index_dir
-  };
-
   struct Config {
     int num_hashes = 32;   ///< signature length = num_bands * rows/band
     int num_bands = 16;    ///< bands of num_hashes / num_bands rows each
@@ -197,10 +186,11 @@ class MinHashBlocker : public LeftStreamBlocker {
     /// so skipping huge buckets costs almost no recall.
     size_t max_bucket_cap = 2048;
     uint64_t seed = 0x5EEDB10CULL;  ///< hash-family seed
-    IndexBackend index_backend = IndexBackend::kHashIndexRam;
-    /// Directory holding the per-band index files ("band_<b>.phx") for
-    /// kHashIndexMmap (created if missing; ignored otherwise). The files
-    /// outlive the blocker — they ARE the beyond-RAM index.
+    /// Empty (default): the band indexes live in RAM. Otherwise the
+    /// directory holding mmap-backed per-band index files
+    /// ("band_<b>.phx", created if missing). The files outlive the
+    /// blocker — they ARE the beyond-RAM index. The candidate stream is
+    /// bitwise identical either way (pinned by hash_index_test).
     std::string index_dir;
   };
 
@@ -243,12 +233,8 @@ class MinHashBlocker : public LeftStreamBlocker {
   const std::vector<Record>* left_table_;  // not owned; must outlive this
   size_t right_size_ = 0;
   size_t bucket_cap_ = 0;
-  /// kSortedArray backend — per band: right-record band keys sorted
-  /// ascending (ties by right index), probed with equal_range.
-  std::vector<std::vector<uint64_t>> band_keys_;
-  std::vector<std::vector<int32_t>> band_rights_;
-  /// kHashIndex* backends — per band: key -> ascending rights postings.
-  /// Snapshots are pinned once at build, so probes are wait-free.
+  /// Per band: key -> ascending rights postings. Snapshots are pinned
+  /// once at build, so probes are wait-free.
   std::vector<std::unique_ptr<core::HashIndex>> band_index_;
   std::vector<core::HashIndex::Snapshot> band_snap_;
   uint64_t buckets_over_cap_ = 0;

@@ -61,9 +61,16 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          return Error(core::StrFormat("nesting deeper than %d levels",
+                                       kMaxJsonDepth));
+        }
+        ++depth_;
+        core::Result<Value> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         core::Result<std::string> s = ParseString();
         if (!s.ok()) return s.status();
@@ -278,6 +285,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // objects/arrays currently open
 };
 
 void EscapeInto(const std::string& s, std::string* out) {

@@ -14,6 +14,12 @@ namespace promptem::data {
 /// standard escapes incl. \uXXXX for the BMP), numbers, true/false/null
 /// (booleans map to numbers 1/0; null maps to the empty string).
 /// Duplicate object keys keep the last occurrence.
+///
+/// Objects and arrays may nest at most kMaxJsonDepth levels ("[]" is one
+/// level); deeper input is rejected with InvalidArgument instead of
+/// recursing without bound (the parser is recursive descent, and its
+/// input includes untrusted client frames).
+inline constexpr int kMaxJsonDepth = 64;
 core::Result<Value> ParseJson(std::string_view text);
 
 /// Parses a JSON object into a semi-structured Record.

@@ -1,7 +1,9 @@
 // Tests for the fused scaled-dot-product attention kernel and the
 // strided-view machinery behind it: fused-vs-reference forward parity,
 // gradient parity for every projection and the input, dropout mask
-// parity across paths, the train/eval x grad/no-grad matrix, run-to-run
+// parity against the unfused oracle (the per-op composition
+// MultiHeadSelfAttention ran before fusion, rebuilt here over the
+// module's own parameters), the train/eval x grad/no-grad matrix, run-to-run
 // determinism under ParallelFor, SliceCols vs SelectCols bitwise
 // identity (the LSTM gate slicing contract), and GemmStrided vs Gemm.
 //
@@ -84,6 +86,28 @@ Tensor ReferenceSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
     heads.push_back(ops::MatMul(attn, vh));
   }
   return ops::ConcatCols(heads);
+}
+
+/// The unfused oracle for a whole MultiHeadSelfAttention: the module's
+/// own wq/wk/wv/wo parameters through the per-op composition (Linear's
+/// MatMul + AddBias, then ReferenceSdpa). `dropout_p` is the module's
+/// attention dropout, applied (drawing from rng) only in training mode,
+/// as DropoutLayer does.
+Tensor ReferenceAttention(const nn::MultiHeadSelfAttention& attn,
+                          float dropout_p, const Tensor& x, core::Rng* rng) {
+  std::map<std::string, Tensor> params;
+  for (const auto& np : attn.NamedParameters()) params[np.name] = np.param;
+  auto linear = [&params](const std::string& name, const Tensor& in) {
+    return ops::AddBias(
+        ops::MatMul(in, params.at(name + ".weight"), false, /*trans_b=*/true),
+        params.at(name + ".bias"));
+  };
+  const int heads = attn.num_heads();
+  const float scale =
+      1.0f / std::sqrt(static_cast<float>(x.dim(1) / heads));
+  const float p = attn.training() ? dropout_p : 0.0f;
+  return linear("wo", ReferenceSdpa(linear("wq", x), linear("wk", x),
+                                    linear("wv", x), heads, scale, p, rng));
 }
 
 TEST(GemmStridedTest, MatchesGemmOnAllTransposeCombos) {
@@ -212,18 +236,16 @@ TEST(AttentionFusionTest, GradientParityForAllProjectionsAndInput) {
     attn.Train();
     Tensor x = RandomTensor({11, 16}, 42, /*requires_grad=*/true);
 
-    attn.set_use_fused(true);
     attn.ZeroGrad();
     x.ZeroGrad();
     core::Rng drop1(77);
     ops::Sum(attn.Forward(x, &drop1)).Backward();
     auto fused = GradSnapshot(attn, x);
 
-    attn.set_use_fused(false);
     attn.ZeroGrad();
     x.ZeroGrad();
     core::Rng drop2(77);
-    ops::Sum(attn.Forward(x, &drop2)).Backward();
+    ops::Sum(ReferenceAttention(attn, p, x, &drop2)).Backward();
     auto ref = GradSnapshot(attn, x);
 
     ASSERT_EQ(fused.size(), ref.size());
@@ -238,12 +260,12 @@ TEST(AttentionFusionTest, GradientParityForAllProjectionsAndInput) {
   }
 }
 
-// With a shared seed the two paths must (a) consume the identical number
-// of Bernoulli draws — checked by comparing the stream position afterward
-// — and (b) produce outputs within forward tolerance, which fails loudly
-// if even one mask bit differs (a flipped bit perturbs a whole output row
-// by O(keep_scale * attn weight) >> 1e-5). Together these pin the fused
-// mask bit-for-bit to the unfused path's.
+// With a shared seed the module and the oracle must (a) consume the
+// identical number of Bernoulli draws — checked by comparing the stream
+// position afterward — and (b) produce outputs within forward tolerance,
+// which fails loudly if even one mask bit differs (a flipped bit perturbs
+// a whole output row by O(keep_scale * attn weight) >> 1e-5). Together
+// these pin the fused mask bit-for-bit to the unfused composition's.
 TEST(AttentionFusionTest, DropoutMaskParityAcrossPaths) {
   for (bool grad_mode : {true, false}) {
     core::Rng init(51);
@@ -254,16 +276,12 @@ TEST(AttentionFusionTest, DropoutMaskParityAcrossPaths) {
     Tensor fused_out, ref_out;
     core::Rng drop1(99), drop2(99);
     if (grad_mode) {
-      attn.set_use_fused(true);
       fused_out = attn.Forward(x, &drop1);
-      attn.set_use_fused(false);
-      ref_out = attn.Forward(x, &drop2);
+      ref_out = ReferenceAttention(attn, 0.5f, x, &drop2);
     } else {
       tensor::NoGradGuard no_grad;
-      attn.set_use_fused(true);
       fused_out = attn.Forward(x, &drop1);
-      attn.set_use_fused(false);
-      ref_out = attn.Forward(x, &drop2);
+      ref_out = ReferenceAttention(attn, 0.5f, x, &drop2);
     }
     EXPECT_LE(MaxAbsDiff(fused_out, ref_out), 1e-5f)
         << "grad_mode=" << grad_mode;
@@ -284,15 +302,13 @@ TEST(AttentionFusionTest, TrainEvalGradNoGradMatrix) {
         std::unique_ptr<tensor::NoGradGuard> guard;
         if (!grad) guard = std::make_unique<tensor::NoGradGuard>();
         core::Rng drop1(7), drop2(7);
-        attn.set_use_fused(true);
         fused_out = attn.Forward(x, &drop1);
-        attn.set_use_fused(false);
-        ref_out = attn.Forward(x, &drop2);
+        ref_out = ReferenceAttention(attn, 0.2f, x, &drop2);
       }
       EXPECT_LE(MaxAbsDiff(fused_out, ref_out), 1e-5f)
           << "training=" << training << " grad=" << grad;
       if (!grad) {
-        // No-grad forwards must be graph-free on both paths.
+        // No-grad forwards must be graph-free.
         EXPECT_TRUE(fused_out.impl()->parents.empty());
         EXPECT_FALSE(static_cast<bool>(fused_out.impl()->backward_fn));
       }

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -345,6 +346,33 @@ TEST(PairEncoderCacheTest, IdentityTokenPreventsStaleServing) {
   const em::EncodedPair mutated = encoder.Encode(ds3, pair);
   em::PairEncoder fresh3(&vocab, 32);
   EXPECT_EQ(mutated.left_ids, fresh3.Encode(ds3, pair).left_ids);
+}
+
+TEST(PairEncoderCacheTest, NearbyIdentitiesNeverShareMemoEntries) {
+  // One encoder serving two datasets whose identities differ by one:
+  // (identity 1, left 65) and (identity 2, left 0) once folded to the same
+  // memo key, so the second dataset was served the first one's record.
+  const text::Vocab& vocab = FixtureLM().vocab();
+  const data::Record anchor =
+      data::Record::Relational({{"title", data::Value::Str("anchor")}});
+  data::GemDataset first;
+  first.cache_identity = 1;
+  for (int i = 0; i < 66; ++i) {
+    first.left_table.push_back(data::Record::Relational(
+        {{"title", data::Value::Str("alpha record " + std::to_string(i))}}));
+  }
+  first.right_table.push_back(anchor);
+  data::GemDataset second;
+  second.cache_identity = 2;
+  second.left_table.push_back(
+      data::Record::Relational({{"title", data::Value::Str("delta epsilon")}}));
+  second.right_table.push_back(anchor);
+
+  em::PairEncoder shared(&vocab, 32);
+  (void)shared.Encode(first, {65, 0, 1});
+  const em::EncodedPair served = shared.Encode(second, {0, 0, 1});
+  em::PairEncoder fresh(&vocab, 32);
+  EXPECT_EQ(served.left_ids, fresh.Encode(second, {0, 0, 1}).left_ids);
 }
 
 // ---------------------------------------------------------------------------
@@ -867,6 +895,46 @@ TEST(IncrementalMatcherTest, DeleteThenReviveRestoresOriginalResult) {
   revive.upserts.push_back({false, victim, saved});
   const em::MatchPipelineResult restored = matcher->ApplyDelta(revive);
   EXPECT_TRUE(SameResult(restored, original));
+}
+
+TEST(IncrementalMatcherTest, RepeatedUpsertsOfOneRecordEqualFullMatch) {
+  // Right row 31 at version 55 and right row 32 at version 0 once shared
+  // a score-cache key, so after 55 upserts of row 31 the re-match served
+  // row 32's cached scores for row 31's pairs.
+  data::GemDataset ds = SyntheticDataset();
+  ds.left_table.resize(8);
+  ds.right_table.resize(40);
+  std::map<std::pair<int, int>, float> last;
+  em::IncrementalMatcher::Config config;
+  config.pipeline.on_scored = [&last](const data::PairExample& p,
+                                      em::ProbPair probs) {
+    last[{p.left_index, p.right_index}] = probs[1];
+  };
+  const em::IncrementalMatcher::ScorerFactory scorer =
+      [](const data::GemDataset&) { return HashStubScorer(); };
+  const em::IncrementalMatcher::BlockerFactory all_pairs =
+      [](const data::GemDataset& d) {
+        return std::unique_ptr<data::Blocker>(
+            std::make_unique<data::AllPairsBlocker>(d.left_table.size(),
+                                                    d.right_table.size()));
+      };
+  em::IncrementalMatcher matcher(ds, scorer, all_pairs, config);
+  matcher.FullMatch();
+  em::MatchPipelineResult incremental;
+  for (int n = 0; n < 55; ++n) {
+    em::RecordDelta delta;
+    delta.upserts.push_back({false, 31, ds.right_table[31]});
+    last.clear();
+    incremental = matcher.ApplyDelta(delta);
+  }
+  EXPECT_EQ(matcher.last_stats().rescored, ds.left_table.size());
+  const std::map<std::pair<int, int>, float> after_deltas = last;
+
+  last.clear();
+  em::IncrementalMatcher fresh(ds, scorer, all_pairs, config);
+  const em::MatchPipelineResult full = fresh.FullMatch();
+  EXPECT_TRUE(SameResult(incremental, full));
+  EXPECT_EQ(after_deltas, last);
 }
 
 }  // namespace

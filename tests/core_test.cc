@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hashing.h"
 #include "core/mem_tracker.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -129,6 +130,22 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(19);
   Rng child = a.Fork();
   EXPECT_NE(a.NextU64(), child.NextU64());
+}
+
+TEST(HashingTest, Combine64KeepsStructuredKeysApart) {
+  // Shapes the memo and score-cache keys take: a small identity or
+  // (index << 1 | side) combined with a packed side/index or a version.
+  const uint64_t left_side = uint64_t{1} << 32;
+  EXPECT_NE(core::Combine64(1, left_side | 65), core::Combine64(2, left_side));
+  EXPECT_NE(core::Combine64((31 << 1) | 1, 55), core::Combine64((32 << 1) | 1, 0));
+  EXPECT_NE(core::Combine64(127 << 1, 52), core::Combine64(131 << 1, 26));
+  EXPECT_NE(core::Combine64(3, 7), core::Combine64(7, 3));
+  // No collision across a dense grid of small (a, b).
+  std::set<uint64_t> seen;
+  for (uint64_t a = 0; a < 256; ++a) {
+    for (uint64_t b = 0; b < 256; ++b) seen.insert(core::Combine64(a, b));
+  }
+  EXPECT_EQ(seen.size(), 256u * 256u);
 }
 
 TEST(StringUtilTest, SplitAndJoin) {

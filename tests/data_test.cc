@@ -1,10 +1,14 @@
-// Tests for the entity model, the §2.2 serializer, dataset splitting, and
-// the eight benchmark generators (parameterized).
+// Tests for the entity model, the §2.2 serializer, dataset splitting, the
+// eight benchmark generators (parameterized), and the JSON parser's
+// nesting bound.
+
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/benchmarks.h"
 #include "data/dataset.h"
+#include "data/json.h"
 #include "data/record.h"
 #include "data/serializer.h"
 
@@ -336,6 +340,41 @@ TEST(BenchmarkTest, InfoNamesUnique) {
 TEST(BenchmarkTest, GenerateAllReturnsEight) {
   auto all = GenerateAllBenchmarks(3);
   EXPECT_EQ(all.size(), 8u);
+}
+
+std::string Nested(char open, char close, int depth) {
+  return std::string(static_cast<size_t>(depth), open) +
+         std::string(static_cast<size_t>(depth), close);
+}
+
+TEST(JsonDepthTest, AcceptsNestingUpToTheCap) {
+  EXPECT_TRUE(ParseJson(Nested('[', ']', kMaxJsonDepth)).ok());
+  std::string objects;
+  for (int i = 0; i < kMaxJsonDepth - 1; ++i) objects += "{\"k\":";
+  objects += "{}" + std::string(static_cast<size_t>(kMaxJsonDepth - 1), '}');
+  EXPECT_TRUE(ParseJson(objects).ok());
+}
+
+TEST(JsonDepthTest, RejectsNestingPastTheCap) {
+  const auto arrays = ParseJson(Nested('[', ']', kMaxJsonDepth + 1));
+  ASSERT_FALSE(arrays.ok());
+  EXPECT_EQ(arrays.status().code(), core::StatusCode::kInvalidArgument);
+  // Alternating objects and arrays, well formed, one level too deep.
+  std::string open, close;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) {
+    open += i % 2 ? "{\"k\":" : "[";
+    close.insert(close.begin(), i % 2 ? '}' : ']');
+  }
+  const std::string innermost = kMaxJsonDepth % 2 ? "1" : "";
+  EXPECT_EQ(ParseJson(open + innermost + close).status().code(),
+            core::StatusCode::kInvalidArgument);
+}
+
+TEST(JsonDepthTest, HugeUnclosedNestingIsAnErrorNotACrash) {
+  // 400 KB of '[' once overflowed the stack of the recursive parser.
+  const auto parsed = ParseJson(std::string(400 * 1024, '['));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), core::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for core::HashIndex and the layers refactored onto it: sealed
 // images must be pure functions of content (pool-size / insertion-order
 // invariant), the mmap file must round-trip and grow atomically, and the
-// MinHash candidate stream must be bitwise identical across the legacy
-// sorted-array backend and both HashIndex backends at every chunk size
-// and pool size.
+// MinHash candidate stream of both stores (RAM and mmap) must equal a
+// recorded golden at every chunk size and pool size.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -299,20 +298,8 @@ TEST(HashIndexTest, ParallelInsertIsDeterministicUnderSharding) {
 }
 
 // ---------------------------------------------------------------------------
-// MinHashBlocker backend parity
+// MinHashBlocker candidate-stream goldens
 // ---------------------------------------------------------------------------
-
-bool SamePairs(const std::vector<data::PairExample>& a,
-               const std::vector<data::PairExample>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].left_index != b[i].left_index ||
-        a[i].right_index != b[i].right_index || a[i].label != b[i].label) {
-      return false;
-    }
-  }
-  return true;
-}
 
 std::vector<data::PairExample> DrainWithChunk(data::Blocker* blocker,
                                               size_t chunk) {
@@ -329,46 +316,114 @@ std::vector<data::PairExample> DrainWithChunk(data::Blocker* blocker,
   return all;
 }
 
-TEST(MinHashBackendParityTest, StreamsBitwiseEqualAcrossBackends) {
+/// FNV-1a over each pair's (left, right, label), little-endian bytes.
+uint64_t StreamDigest(const std::vector<data::PairExample>& pairs) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  auto fold = [&h](int value) {
+    const auto v = static_cast<uint32_t>(value);
+    for (int i = 0; i < 4; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (const auto& p : pairs) {
+    fold(p.left_index);
+    fold(p.right_index);
+    fold(p.label);
+  }
+  return h;
+}
+
+/// A MinHash configuration and the stream it must produce on the
+/// 400-row fixture. The goldens were recorded from the retired
+/// sorted-array backend (per-band sorted (key, right) arrays probed with
+/// equal_range), so the HashIndex stores still reproduce it bit for bit.
+struct MinHashGolden {
+  const char* name;
+  int num_hashes;
+  int num_bands;
+  int shingle_len;
+  size_t candidates;
+  uint64_t digest;
+  uint64_t buckets_over_cap;
+  uint64_t capped_probes;
+};
+
+// "default" never fills a bucket past the cap; "coarse" (one row per
+// band, 3-grams) does, so the cap's skip decisions are pinned too.
+constexpr MinHashGolden kMinHashGoldens[] = {
+    {"default", 32, 16, 4, 1570, 0xb24f43bfcd4641c1ull, 0, 0},
+    {"coarse", 16, 16, 3, 4000, 0x120797d7d40c20b3ull, 26, 740},
+};
+
+data::MinHashBlocker::Config GoldenConfig(const MinHashGolden& golden,
+                                          const std::string& index_dir) {
+  data::MinHashBlocker::Config config;
+  config.num_hashes = golden.num_hashes;
+  config.num_bands = golden.num_bands;
+  config.shingle_len = golden.shingle_len;
+  config.index_dir = index_dir;
+  return config;
+}
+
+data::SyntheticTables GoldenFixture() {
   data::SyntheticTableOptions options;
   options.rows = 400;
   options.seed = 20260809;
-  const data::SyntheticTables tables = data::GenerateSyntheticTables(options);
-  ScratchDir dir("bands");
+  return data::GenerateSyntheticTables(options);
+}
 
-  data::MinHashBlocker::Config reference_config;
-  reference_config.index_backend =
-      data::MinHashBlocker::IndexBackend::kSortedArray;
-  data::MinHashBlocker reference(tables.left, tables.right, reference_config);
-  const std::vector<data::PairExample> expected = reference.Drain();
-  ASSERT_FALSE(expected.empty());
-
-  for (const auto backend : {data::MinHashBlocker::IndexBackend::kHashIndexRam,
-                             data::MinHashBlocker::IndexBackend::kHashIndexMmap}) {
-    for (const int pool : {1, 3, 8}) {
-      ScopedThreads threads(pool);
-      data::MinHashBlocker::Config config;
-      config.index_backend = backend;
-      config.index_dir = dir.path();
-      data::MinHashBlocker blocker(tables.left, tables.right, config);
-      for (const size_t chunk : {size_t{1}, size_t{7}, size_t{256},
-                                 size_t{100000}}) {
-        EXPECT_TRUE(SamePairs(expected, DrainWithChunk(&blocker, chunk)))
-            << "backend=" << static_cast<int>(backend) << " pool=" << pool
-            << " chunk=" << chunk;
+TEST(MinHashGoldenTest, StreamsMatchTheGoldenInRamAndMmap) {
+  const data::SyntheticTables tables = GoldenFixture();
+  for (const MinHashGolden& golden : kMinHashGoldens) {
+    for (const bool mmap : {false, true}) {
+      for (const int pool : {1, 3, 8}) {
+        ScopedThreads threads(pool);
+        ScratchDir dir("bands");
+        data::MinHashBlocker blocker(
+            tables.left, tables.right,
+            GoldenConfig(golden, mmap ? dir.path() : ""));
+        for (const size_t chunk : {size_t{1}, size_t{7}, size_t{256},
+                                   size_t{100000}}) {
+          const std::vector<data::PairExample> stream =
+              DrainWithChunk(&blocker, chunk);
+          EXPECT_EQ(stream.size(), golden.candidates)
+              << golden.name << " mmap=" << mmap << " pool=" << pool
+              << " chunk=" << chunk;
+          EXPECT_EQ(StreamDigest(stream), golden.digest)
+              << golden.name << " mmap=" << mmap << " pool=" << pool
+              << " chunk=" << chunk;
+        }
       }
     }
   }
 }
 
-TEST(MinHashBackendParityTest, IndexStatsSeeTheBackingStore) {
+TEST(MinHashGoldenTest, CapCountsMatchTheGoldenInRamAndMmap) {
+  const data::SyntheticTables tables = GoldenFixture();
+  for (const MinHashGolden& golden : kMinHashGoldens) {
+    for (const bool mmap : {false, true}) {
+      ScratchDir dir("bands");
+      data::MinHashBlocker blocker(
+          tables.left, tables.right,
+          GoldenConfig(golden, mmap ? dir.path() : ""));
+      (void)blocker.Drain();
+      const auto stats = blocker.index_stats();
+      EXPECT_EQ(stats.buckets_over_cap, golden.buckets_over_cap)
+          << golden.name << " mmap=" << mmap;
+      EXPECT_EQ(stats.capped_probes, golden.capped_probes)
+          << golden.name << " mmap=" << mmap;
+    }
+  }
+}
+
+TEST(MinHashGoldenTest, IndexStatsSeeTheBackingStore) {
   data::SyntheticTableOptions options;
   options.rows = 300;
   const data::SyntheticTables tables = data::GenerateSyntheticTables(options);
   ScratchDir dir("bands");
 
   data::MinHashBlocker::Config ram_config;
-  ram_config.index_backend = data::MinHashBlocker::IndexBackend::kHashIndexRam;
   data::MinHashBlocker ram(tables.left, tables.right, ram_config);
   (void)ram.Drain();
   const auto ram_stats = ram.index_stats();
@@ -378,25 +433,12 @@ TEST(MinHashBackendParityTest, IndexStatsSeeTheBackingStore) {
   EXPECT_EQ(ram_stats.file_bytes, 0u);
 
   data::MinHashBlocker::Config mmap_config;
-  mmap_config.index_backend =
-      data::MinHashBlocker::IndexBackend::kHashIndexMmap;
   mmap_config.index_dir = dir.path();
   data::MinHashBlocker mapped(tables.left, tables.right, mmap_config);
   (void)mapped.Drain();
   const auto mmap_stats = mapped.index_stats();
   EXPECT_EQ(mmap_stats.ram_bytes, 0u);
   EXPECT_GT(mmap_stats.file_bytes, 0u);
-
-  // The cap decisions are a function of content, not of the backend.
-  data::MinHashBlocker::Config legacy_config;
-  legacy_config.index_backend =
-      data::MinHashBlocker::IndexBackend::kSortedArray;
-  data::MinHashBlocker legacy(tables.left, tables.right, legacy_config);
-  (void)legacy.Drain();
-  const auto legacy_stats = legacy.index_stats();
-  EXPECT_EQ(legacy_stats.buckets_over_cap, ram_stats.buckets_over_cap);
-  EXPECT_EQ(legacy_stats.capped_probes, ram_stats.capped_probes);
-  EXPECT_EQ(legacy_stats.capped_probes, mmap_stats.capped_probes);
 }
 
 }  // namespace

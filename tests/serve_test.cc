@@ -805,5 +805,101 @@ TEST_F(ServeDaemonTest, GracefulDrainAnswersAdmittedWork) {
   EXPECT_EQ(ok, 2);
 }
 
+/// 400 KB of '[': well inside kMaxFrameBytes, far past kMaxJsonDepth.
+std::string NestedPayload() { return std::string(400 * 1024, '['); }
+
+TEST_F(ServeDaemonTest, DeeplyNestedPayloadIsABadRequestOverTcp) {
+  auto service = MakeService();
+  serve::ServeDaemon daemon(service.get(), {/*port=*/0, {}});
+  ASSERT_TRUE(daemon.Start().ok());
+
+  const int fd = ConnectLoopback(daemon.port());
+  ASSERT_TRUE(serve::WriteFrame(fd, NestedPayload()).ok());
+  std::string payload;
+  ASSERT_TRUE(serve::ReadFrame(fd, &payload).ok());
+  auto parsed = serve::ParseMatchResponse(payload);
+  ASSERT_TRUE(parsed.ok()) << payload;
+  EXPECT_EQ(parsed.value().status, serve::ResponseStatus::kBadRequest);
+
+  // The same connection and a new one both keep being served.
+  serve::MatchRequest info;
+  info.id = 12;
+  info.op = serve::RequestOp::kInfo;
+  EXPECT_EQ(RoundTrip(fd, info).status, serve::ResponseStatus::kOk);
+  ::close(fd);
+  const int next = ConnectLoopback(daemon.port());
+  serve::MatchRequest request;
+  request.id = 13;
+  request.pairs = SomePairs(2, 13);
+  EXPECT_EQ(RoundTrip(next, request).status, serve::ResponseStatus::kOk);
+  ::close(next);
+
+  daemon.Shutdown();
+  daemon.Wait();
+}
+
+TEST_F(ServeDaemonTest, DeeplyNestedPayloadIsABadRequestOverStdio) {
+  auto service = MakeService();
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  // The stdio transport reads fd 0 and writes fd 1: swap pipes in for
+  // the daemon's lifetime.
+  std::fflush(stdout);
+  const int saved_in = ::dup(STDIN_FILENO);
+  const int saved_out = ::dup(STDOUT_FILENO);
+  ASSERT_GE(::dup2(in_pipe[0], STDIN_FILENO), 0);
+  ASSERT_GE(::dup2(out_pipe[1], STDOUT_FILENO), 0);
+  ::close(in_pipe[0]);
+  ::close(out_pipe[1]);
+
+  std::string output;
+  std::thread reader([&output, fd = out_pipe[0]] {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+      output.append(buf, static_cast<size_t>(n));
+    }
+  });
+  bool started = false;
+  {
+    serve::ServeDaemon daemon(service.get(), {/*port=*/-1, {}});
+    started = daemon.Start().ok();
+    if (started) {
+      serve::MatchRequest info;
+      info.id = 21;
+      info.op = serve::RequestOp::kInfo;
+      const std::string input =
+          NestedPayload() + "\n" + serve::SerializeRequest(info) + "\n";
+      serve::WriteFull(in_pipe[1], input.data(), input.size());
+      ::close(in_pipe[1]);  // EOF completes the drain
+      daemon.Wait();
+    } else {
+      ::close(in_pipe[1]);
+    }
+    // Restore before any assertion can print.
+    ::dup2(saved_in, STDIN_FILENO);
+    ::dup2(saved_out, STDOUT_FILENO);
+    ::close(saved_in);
+    ::close(saved_out);
+  }
+  reader.join();
+  ::close(out_pipe[0]);
+  ASSERT_TRUE(started);
+
+  const size_t nl = output.find('\n');
+  ASSERT_NE(nl, std::string::npos) << output;
+  auto first = serve::ParseMatchResponse(output.substr(0, nl));
+  ASSERT_TRUE(first.ok()) << output;
+  EXPECT_EQ(first.value().status, serve::ResponseStatus::kBadRequest);
+  const size_t nl2 = output.find('\n', nl + 1);
+  ASSERT_NE(nl2, std::string::npos) << output;
+  auto second = serve::ParseMatchResponse(output.substr(nl + 1, nl2 - nl - 1));
+  ASSERT_TRUE(second.ok()) << output;
+  EXPECT_EQ(second.value().id, 21u);
+  EXPECT_EQ(second.value().status, serve::ResponseStatus::kOk);
+}
+
 }  // namespace
 }  // namespace promptem

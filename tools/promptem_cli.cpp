@@ -46,7 +46,6 @@
 #include "pipeline/match_pipeline.h"
 #include "promptem/embed_cache.h"
 #include "promptem/pseudo_labels.h"
-#include "promptem/scoring.h"
 #include "tensor/kernels.h"
 #include "train/observer.h"
 #include "train/registry.h"
@@ -60,7 +59,7 @@ void PrintUsage() {
       "promptem_cli --list | --list-matchers\n"
       "promptem_cli (--dataset NAME | --dir PATH) [options]\n"
       "  --matcher M     matcher to run (default PromptEM);\n"
-      "                  see --list-matchers (--method is a legacy alias)\n"
+      "                  see --list-matchers\n"
       "  --rate R        low-resource label rate in (0,1] (default: the\n"
       "                  benchmark's Table-1 rate, 0.10 for --dir)\n"
       "  --labels N      exact labeled budget (overrides --rate)\n"
@@ -68,8 +67,6 @@ void PrintUsage() {
       "  --lm PREFIX     pre-trained LM cache prefix\n"
       "                  (default promptem_shared_lm)\n"
       "  --run-log PATH  append one JSON record per training epoch to PATH\n"
-      "  --quantize Q    eval-path quantization: none (default) or int8\n"
-      "                  (training always runs f32)\n"
       "  --pseudo P      pseudo-label selection strategy: uncertainty\n"
       "                  (default, the paper's choice), confidence, or\n"
       "                  clustering (k-means on pair embeddings)\n"
@@ -116,7 +113,7 @@ void PrintUsage() {
       "  peak RSS and, for minhash, per-band index bytes and bucket-cap\n"
       "  eviction counts (no training involved)\n"
       "promptem_cli --kernel-info\n"
-      "  print detected ISA, active kernel variant, and quantization mode\n"
+      "  print detected ISA and active kernel variant\n"
       "  (PROMPTEM_FORCE_SCALAR=1 pins the portable kernels)");
 }
 
@@ -130,11 +127,6 @@ void PrintKernelInfo() {
               kernels::ScalarForced() ? "yes" : "no");
   std::printf("kernel variant:  %s\n",
               kernels::KernelVariantName(kernels::ActiveKernelVariant()));
-  std::printf("eval quantize:   %s\n",
-              em::GetEvalQuantization() ==
-                      tensor::quant::EvalQuantMode::kInt8
-                  ? "int8"
-                  : "f32");
 }
 
 std::optional<data::BenchmarkKind> KindByName(const std::string& name) {
@@ -196,10 +188,7 @@ std::unique_ptr<data::Blocker> MakeBlocker(const std::string& name,
   }
   data::MinHashBlocker::Config config;
   config.top_k = top_k;
-  if (!index_dir.empty()) {
-    config.index_backend = data::MinHashBlocker::IndexBackend::kHashIndexMmap;
-    config.index_dir = index_dir;
-  }
+  config.index_dir = index_dir;
   return std::make_unique<data::MinHashBlocker>(tables.left_table,
                                                 tables.right_table, config);
 }
@@ -222,7 +211,6 @@ int main(int argc, char** argv) {
   std::string export_dir;
   std::string run_log_path;
   std::string custom_name = "custom";
-  std::string quantize = "none";
   double rate = -1.0;
   int labels = -1;
   uint64_t seed = 42;
@@ -266,11 +254,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--kernel-info") {
       PrintKernelInfo();
       return 0;
-    } else if (arg == "--quantize") {
-      quantize = next();
-      if (quantize != "none" && quantize != "int8") {
-        BadOption(arg, quantize.c_str(), "none or int8");
-      }
     } else if (arg == "--list-matchers") {
       for (const auto& name :
            train::MatcherRegistry::Instance().ListedNames()) {
@@ -283,7 +266,7 @@ int main(int argc, char** argv) {
       dir = next();
     } else if (arg == "--name") {
       custom_name = next();
-    } else if (arg == "--matcher" || arg == "--method") {
+    } else if (arg == "--matcher") {
       matcher_name = next();
     } else if (arg == "--run-log") {
       run_log_path = next();
@@ -675,19 +658,14 @@ int main(int argc, char** argv) {
           : data::MakeLowResourceSplit(
                 dataset, rate > 0.0 ? rate : dataset.default_rate, &rng);
 
-  if (quantize == "int8") {
-    em::SetEvalQuantization(tensor::quant::EvalQuantMode::kInt8);
-  }
-
   std::printf("%s on %s: %zu labeled / %zu unlabeled / %zu valid / %zu "
               "test pairs\n",
               matcher_name.c_str(), dataset.name.c_str(),
               split.labeled.size(), split.unlabeled.size(),
               split.valid.size(), split.test.size());
-  std::printf("kernels: %s, eval quantize: %s\n",
+  std::printf("kernels: %s\n",
               tensor::kernels::KernelVariantName(
-                  tensor::kernels::ActiveKernelVariant()),
-              quantize.c_str());
+                  tensor::kernels::ActiveKernelVariant()));
 
   train::MatcherContext ctx;
   ctx.lm = lm.get();

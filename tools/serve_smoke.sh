@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the serving stack: start promptem_serve on an
-# ephemeral port, drive it with the closed-loop load generator, SIGTERM
-# the daemon mid-life, and assert the whole drain contract — exit 0, a
+# ephemeral port, drive it with the closed-loop load generator, send it a
+# deeply nested 400 KB frame (it must answer bad_request and keep
+# serving), SIGTERM the daemon mid-life, and assert the whole drain
+# contract — exit 0, a
 # "drained:" summary, and a valid flushed embedding cache that a second
 # daemon warm-starts from. CI runs this after the unit suites; it is the
 # one place the real binaries, the real signal path, and the real TCP
@@ -66,6 +68,48 @@ echo "serve_smoke: cold daemon + load generator"
 start_daemon
 "${loadgen_bin}" --port "${port}" --clients 4 --requests 25 --pairs 8 \
   --seed 7
+
+echo "serve_smoke: 400 KB nested frame -> bad_request, daemon keeps serving"
+python3 - "${port}" <<'PY'
+import socket
+import struct
+import sys
+
+def frame(sock, payload):
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+    header = b""
+    while len(header) < 4:
+        got = sock.recv(4 - len(header))
+        if not got:
+            sys.exit("serve_smoke: connection closed before a response")
+        header += got
+    (length,) = struct.unpack(">I", header)
+    body = b""
+    while len(body) < length:
+        got = sock.recv(length - len(body))
+        if not got:
+            sys.exit("serve_smoke: truncated response")
+        body += got
+    return body.decode()
+
+port = int(sys.argv[1])
+with socket.create_connection(("127.0.0.1", port)) as sock:
+    reply = frame(sock, b"[" * (400 * 1024))
+    if '"status":"bad_request"' not in reply:
+        sys.exit("serve_smoke: nested frame got " + reply[:200])
+    reply = frame(sock, b'{"op":"info"}')
+    if '"status":"ok"' not in reply:
+        sys.exit("serve_smoke: info after the nested frame got " + reply[:200])
+with socket.create_connection(("127.0.0.1", port)) as sock:
+    reply = frame(sock, b'{"op":"info"}')
+    if '"status":"ok"' not in reply:
+        sys.exit("serve_smoke: info on a new connection got " + reply[:200])
+PY
+if ! kill -0 "${server_pid}" 2>/dev/null; then
+  echo "serve_smoke: daemon died on the nested frame:" >&2
+  cat "${server_log}" >&2
+  exit 1
+fi
 
 echo "serve_smoke: SIGTERM -> graceful drain"
 kill -TERM "${server_pid}"
